@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.faas.types import TaskExecutionRecord
 from repro.monitor.store import HistoryStore, TaskRecord
+from repro.profiling.memo import VersionedMemo
 from repro.profiling.models import RandomForestRegressor
 
 __all__ = ["ExecutionProfiler"]
@@ -140,6 +141,11 @@ class ExecutionProfiler:
         #: observation).  Consumers memoizing predictions — the scheduling
         #: context — stamp cache entries with this version.
         self.prediction_version = 0
+        #: Output sizes already predicted at the current
+        #: ``prediction_version``, keyed on ``(function, input_mb, *hardware)``.
+        self._output_memo = VersionedMemo()
+        #: Output-model evaluations actually run (memo misses).
+        self.output_evaluations = 0
         if store is not None:
             self.load_history(store)
 
@@ -247,7 +253,13 @@ class ExecutionProfiler:
         model = self._models.get(function_name)
         if model is None:
             return default
-        predicted = model.predict_output((input_mb, *hardware_features))
+        memo = self._output_memo.table(self.prediction_version)
+        key = (function_name, input_mb, *hardware_features)
+        if key in memo:
+            predicted = memo[key]
+        else:
+            self.output_evaluations += 1
+            predicted = memo[key] = model.predict_output((input_mb, *hardware_features))
         return default if predicted is None else predicted
 
     def average_execution_time(self, function_name: str, default: float = 0.0) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.data.transfer import TransferResult
 from repro.monitor.store import HistoryStore, TransferRecord
+from repro.profiling.memo import VersionedMemo
 from repro.profiling.models import PolynomialRegression
 
 __all__ = ["TransferProfiler"]
@@ -94,6 +95,11 @@ class TransferProfiler:
         #: caching transfer predictions (the array-backed scheduling context)
         #: stamp their entries with this version.
         self.prediction_version = 0
+        #: Predictions already made at the current ``prediction_version``,
+        #: keyed on ``(src, dst, size_mb, concurrency)``.
+        self._memo = VersionedMemo()
+        #: Model evaluations actually run (memo misses).
+        self.model_evaluations = 0
         if store is not None:
             self.load_history(store)
 
@@ -155,6 +161,15 @@ class TransferProfiler:
         """Predicted transfer duration in seconds (0 for co-located data)."""
         if src == dst or size_mb <= 0:
             return 0.0
+        memo = self._memo.table(self.prediction_version)
+        key = (src, dst, size_mb, concurrency)
+        predicted = memo.get(key)
+        if predicted is None:
+            self.model_evaluations += 1
+            predicted = memo[key] = self._evaluate(src, dst, size_mb, concurrency)
+        return predicted
+
+    def _evaluate(self, src: str, dst: str, size_mb: float, concurrency: int) -> float:
         model = self._pairs.get((src, dst))
         if model is not None:
             predicted = model.predict(size_mb, float(concurrency))

@@ -7,8 +7,11 @@ byte-identical to the scalar reference path:
 * :class:`PredictionIndex` — stable integer ids for tasks (rows) and
   endpoints (columns) plus two float64 matrices holding the predicted
   execution time and predicted staging time of every pair.  Rows are filled
-  lazily and batched (one profiler call per function, deduplicated by input
-  size) and are generation-stamped exactly like the scalar memo cache: a
+  lazily.  Execution rows are batched: one profiler call per function,
+  deduplicated by input size.  Staging rows ask the transfer profiler once
+  per cell, and its memo answers the repeated (source, destination, size)
+  questions of a row without evaluating a model.  Both are
+  generation-stamped exactly like the scalar memo cache: a
   profiler retrain, a hardware change, a transfer observation or a replica
   move invalidates lazily via version counters, and the engine's per-task
   invalidation clears single rows.  Every cell holds exactly the float the

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from repro.core.rounding import largest_remainder_split
 __all__ = [
     "ARBITRATION_POLICIES",
     "ArbitrationPolicy",
+    "ArbitrationSite",
     "EdfArbitration",
     "FairShareArbitration",
     "FifoArbitration",
@@ -75,6 +76,10 @@ class ArbitrationPolicy(ABC):
     """Splits per-endpoint free capacity between competing workflows."""
 
     name: str = "base"
+    #: Moves whenever the policy's own state changes what it would allocate
+    #: for the same inputs.  Stateless policies stay at 0; the serving layer
+    #: keys its reuse of an unchanged allocation on this.
+    served_version: int = 0
 
     @abstractmethod
     def allocate(
@@ -185,6 +190,7 @@ class FairShareArbitration(ArbitrationPolicy):
         #: upper bound the tenant may not consume, and counting it would
         #: re-introduce exactly the systematic bias the deficit prevents.
         self._served: Dict[str, int] = {}
+        self.served_version = 0
         #: Run the deficit round-robin over tenant demand / served / weight
         #: vectors (columnar serving path).  Allocations are identical to the
         #: scalar per-tenant-loop reference below, which stays on as the
@@ -220,6 +226,7 @@ class FairShareArbitration(ArbitrationPolicy):
                     allocation[wid][endpoint] = allocation[wid].get(endpoint, 0) + granted
                     if record_service:
                         self._served[wid] = self._served.get(wid, 0) + granted
+                        self.served_version += 1
                     unmet[wid] -= granted
                     remaining -= granted
                     granted_any = True
@@ -301,12 +308,51 @@ class FairShareArbitration(ArbitrationPolicy):
                 unmet[elig] -= shares
                 if record_service:
                     served[elig] += shares
+                    self.served_version += 1
                 remaining -= granted_total
         if record_service:
             for i, wid in enumerate(wids):
                 if served[i] > 0.0:
                     self._served[wid] = int(served[i])
         return allocation
+
+
+class ArbitrationSite:
+    """One call site of a policy that reuses its last allocation when unchanged.
+
+    Policies are deterministic in their inputs and their service state, so
+    equal ``(free, demands, tenants)`` at an equal ``served_version`` give an
+    equal allocation, and the site returns the previous one without calling
+    :meth:`ArbitrationPolicy.allocate`.  A call that records service moves
+    ``served_version``, so an allocation that granted recorded service is
+    never reused.  Callers must not mutate the inputs or the allocation.
+    """
+
+    def __init__(self, policy: ArbitrationPolicy, *, record_service: bool = True) -> None:
+        self.policy = policy
+        self.record_service = record_service
+        #: Calls that ran the policy, and calls answered by the last allocation.
+        self.calls = 0
+        self.skips = 0
+        self._fingerprint: Optional[tuple] = None
+        self._allocation: Allocation = {}
+
+    def allocate(
+        self,
+        free: Mapping[str, int],
+        demands: Mapping[str, Mapping[str, int]],
+        tenants: Sequence[TenantShare],
+    ) -> Allocation:
+        fingerprint = (free, demands, tuple(tenants), self.policy.served_version)
+        if fingerprint == self._fingerprint:
+            self.skips += 1
+            return self._allocation
+        self.calls += 1
+        self._allocation = self.policy.allocate(
+            free, demands, tenants, record_service=self.record_service
+        )
+        self._fingerprint = fingerprint
+        return self._allocation
 
 
 ARBITRATION_POLICIES = ("fifo", "fair_share", "priority", "edf")

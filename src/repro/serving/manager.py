@@ -67,6 +67,7 @@ from repro.profiling.transfer import TransferProfiler
 from repro.sched.base import Scheduler
 from repro.serving.arbitration import (
     ArbitrationPolicy,
+    ArbitrationSite,
     TenantShare,
     create_arbitration,
 )
@@ -138,6 +139,9 @@ class WorkflowHandle:
         self.builder = builder
         #: FIFO position among live tenants; stamped by the manager.
         self.arrival_index = 0
+        #: What the arbitration policy sees of this tenant; rebuilt only when
+        #: the manager restamps ``arrival_index``.
+        self.share: Optional[TenantShare] = None
         self.started = False
         self.finished = False
         self.paused = False
@@ -351,6 +355,10 @@ class WorkflowManager:
         self.on_workflow_finished: Optional[Callable[[WorkflowHandle], None]] = None
         #: All-time counters that survive retirement (summary aggregates).
         self.retired_count = 0
+        #: The pump's two arbitration call sites: advisory placement slices
+        #: (never counted as service) and dispatch budgets.
+        self._placement_site = ArbitrationSite(self.policy, record_service=False)
+        self._dispatch_site = ArbitrationSite(self.policy)
 
     def disable_placement(self) -> None:
         """Drop the shared placement plan; tenants admitted later run greedy.
@@ -439,7 +447,15 @@ class WorkflowManager:
             self._workflows.values(), key=lambda h: (h.arrival_s, h.workflow_id)
         )
         for index, ordered_handle in enumerate(self._ordered):
-            ordered_handle.arrival_index = index
+            if ordered_handle.share is None or ordered_handle.arrival_index != index:
+                ordered_handle.arrival_index = index
+                ordered_handle.share = TenantShare(
+                    workflow_id=ordered_handle.workflow_id,
+                    weight=ordered_handle.weight,
+                    priority=ordered_handle.priority,
+                    arrival_index=index,
+                    deadline=ordered_handle.deadline_s,
+                )
         kernel = getattr(self.fabric, "kernel", None)
         if kernel is not None and arrival_s > self.clock.now():
             # A real (non-daemon) kernel event, like the dynamics layer's
@@ -463,6 +479,16 @@ class WorkflowManager:
     def workflows(self) -> List[WorkflowHandle]:
         """Handles in deterministic arrival order."""
         return list(self._ordered)
+
+    @property
+    def arbitration_calls(self) -> int:
+        """Pump arbitrations that ran the policy."""
+        return self._placement_site.calls + self._dispatch_site.calls
+
+    @property
+    def arbitration_skips(self) -> int:
+        """Pump arbitrations answered by the unchanged previous allocation."""
+        return self._placement_site.skips + self._dispatch_site.skips
 
     # ------------------------------------------------------------------ run
     def run(self, max_wall_time_s: Optional[float] = None) -> None:
@@ -640,19 +666,6 @@ class WorkflowManager:
             arrival.cancel()
         self.retired_count += 1
 
-    def _tenants(self, active: List[WorkflowHandle]) -> List[TenantShare]:
-        return [
-            TenantShare(
-                workflow_id=h.workflow_id,
-                weight=h.weight,
-                priority=h.priority,
-                arrival_index=h.arrival_index,
-                deadline=h.deadline_s,
-            )
-            for h in self._ordered
-            if h in active
-        ]
-
     def _free_capacity(self) -> Dict[str, int]:
         return {
             name: self.endpoint_monitor.free_capacity(name)
@@ -664,7 +677,7 @@ class WorkflowManager:
         active = self._active_workflows()
         if not active:
             return False
-        tenants = self._tenants(active)
+        tenants = tuple(h.share for h in active)
         progressed = False
 
         # Workflow growth first (authoring runtimes reacting to terminal
@@ -699,8 +712,8 @@ class WorkflowManager:
             placement_demand = {
                 wid: dict.fromkeys(endpoints, size) for wid, size in demand_size.items()
             }
-            placement_slices = self.policy.allocate(
-                unclaimed, placement_demand, tenants, record_service=False
+            placement_slices = self._placement_site.allocate(
+                unclaimed, placement_demand, tenants
             )
             for handle in active:
                 handle.engine.scheduler.set_capacity_slice(
@@ -717,7 +730,7 @@ class WorkflowManager:
         if any(staged_demand.values()):
             free_now = self._free_capacity()
             if any(free_now.values()):
-                budgets = self.policy.allocate(free_now, staged_demand, tenants)
+                budgets = self._dispatch_site.allocate(free_now, staged_demand, tenants)
                 for handle in active:
                     progressed |= handle.engine.dispatch.dispatch_staged(
                         budget=budgets.get(handle.workflow_id, {})

@@ -179,3 +179,157 @@ class TestTransferProfiler:
             TransferProfiler(min_samples_to_train=0)
         with pytest.raises(ValueError):
             TransferProfiler().seed_bandwidth("a", "b", bandwidth_mbps=0.0)
+
+
+def transfer_record(src="a", dst="b", size=90.0, duration=1.0):
+    return TransferRecord(
+        src=src, dst=dst, size_mb=size, duration_s=duration,
+        mechanism="globus", concurrency=1, success=True, timestamp=0.0,
+    )
+
+
+def task_record(output_mb, duration=10.0, fn="fp"):
+    return TaskRecord(
+        function_name=fn, endpoint="qiming", input_mb=1.0, output_mb=output_mb,
+        execution_time_s=duration, cores_per_node=24, cpu_freq_ghz=2.6,
+        ram_gb=64, success=True, timestamp=0.0,
+    )
+
+
+class TestTransferPredictionMemo:
+    """After every mutation path a memoized answer equals a fresh profiler's."""
+
+    @staticmethod
+    def replay(steps, **kwargs):
+        profiler = TransferProfiler(**kwargs)
+        for step in steps:
+            step(profiler)
+        return profiler
+
+    def check(self, before, after, query, **kwargs):
+        """Ask ``query`` after ``before``, apply ``after``, ask again."""
+        profiler = self.replay(before, **kwargs)
+        stale = profiler.predict_transfer_time(*query)
+        for step in after:
+            step(profiler)
+        fresh = self.replay(before + after, **kwargs)
+        answer = profiler.predict_transfer_time(*query)
+        assert answer == fresh.predict_transfer_time(*query)
+        assert answer != stale  # the mutation did change the answer
+        return profiler
+
+    def test_observe_moves_the_bandwidth_estimate(self):
+        self.check(
+            [lambda p: p.observe(transfer_result(size=90.0, duration=1.0))],
+            [lambda p: p.observe(transfer_result(size=90.0, duration=3.0))],
+            ("a", "b", 450.0),
+            min_samples_to_train=100,
+        )
+
+    def test_load_history(self):
+        store = HistoryStore()
+        for size in (10.0, 100.0, 1000.0):
+            store.add_transfer_record(transfer_record(size=size, duration=size / 20.0))
+        self.check([], [lambda p: p.load_history(store)], ("a", "b", 300.0))
+
+    def test_seed_bandwidth(self):
+        self.check(
+            [], [lambda p: p.seed_bandwidth("a", "b", bandwidth_mbps=400.0)],
+            ("a", "b", 300.0),
+        )
+
+    def test_update_models(self):
+        sizes = (10.0, 50.0, 100.0, 200.0, 400.0)
+        self.check(
+            [lambda p, s=s: p.observe(transfer_result(size=s, duration=2.0 + s / 90.0))
+             for s in sizes],
+            [lambda p: p.update_models()],
+            ("a", "b", 500.0),
+        )
+
+    def test_reverse_fallback_is_superseded_by_forward_samples(self):
+        profiler = self.check(
+            [lambda p: p.observe(transfer_result(src="b", dst="a", size=90.0))],
+            [lambda p: p.observe(transfer_result(src="a", dst="b", size=90.0, duration=9.0))],
+            ("a", "b", 90.0),
+            min_samples_to_train=100,
+        )
+        assert profiler.predict_transfer_time("a", "b", 90.0) == pytest.approx(9.0)
+
+    def test_repeated_questions_evaluate_the_model_once(self):
+        profiler = TransferProfiler()
+        profiler.seed_bandwidth("a", "b", bandwidth_mbps=400.0)
+        for _ in range(5):
+            profiler.predict_transfer_time("a", "b", 300.0)
+            profiler.predict_transfer_time("a", "b", 600.0)
+            profiler.predict_transfer_time("a", "a", 600.0)  # co-located: no model
+        assert profiler.model_evaluations == 2
+        profiler.observe(transfer_result(size=90.0))
+        profiler.predict_transfer_time("a", "b", 300.0)
+        assert profiler.model_evaluations == 3
+
+
+class TestOutputPredictionMemo:
+    @staticmethod
+    def replay(records, **kwargs):
+        profiler = ExecutionProfiler(**kwargs)
+        for record in records:
+            profiler.observe(record)
+        return profiler
+
+    def check(self, before, after, **kwargs):
+        profiler = self.replay(before, **kwargs)
+        stale = profiler.predict_output_mb("simulate", 10.0, QIMING_HW)
+        for record in after:
+            profiler.observe(record)
+        fresh = self.replay(before + after, **kwargs)
+        answer = profiler.predict_output_mb("simulate", 10.0, QIMING_HW)
+        assert answer == fresh.predict_output_mb("simulate", 10.0, QIMING_HW)
+        assert answer != stale
+        return profiler
+
+    def test_warm_up_observe_moves_the_running_mean(self):
+        profiler = self.check(
+            [exec_record(output_mb=2.0)], [exec_record(output_mb=6.0)],
+            min_samples_to_train=100,
+        )
+        assert profiler.predict_output_mb("simulate", 10.0, QIMING_HW) == pytest.approx(4.0)
+
+    def test_retention_window(self):
+        profiler = self.check(
+            [exec_record(output_mb=1.0), exec_record(output_mb=2.0)],
+            [exec_record(output_mb=9.0)],
+            min_samples_to_train=100, max_samples_retained=2,
+        )
+        assert profiler.predict_output_mb("simulate", 10.0, QIMING_HW) == pytest.approx(5.5)
+
+    def test_update_models(self):
+        records = [exec_record(input_mb=s, output_mb=s / 2.0) for s in (1.0, 5.0, 20.0, 40.0)]
+        profiler = self.replay(records, min_samples_to_train=3)
+        stale = profiler.predict_output_mb("simulate", 40.0, QIMING_HW)
+        profiler.update_models()
+        fresh = self.replay(records, min_samples_to_train=3)
+        fresh.update_models()
+        answer = profiler.predict_output_mb("simulate", 40.0, QIMING_HW)
+        assert answer == fresh.predict_output_mb("simulate", 40.0, QIMING_HW)
+        assert answer != stale
+
+    def test_load_history(self):
+        store = HistoryStore()
+        for output_mb in (1.0, 2.0, 3.0):
+            store.add_task_record(task_record(output_mb))
+        profiler = ExecutionProfiler()
+        assert profiler.predict_output_mb("fp", 1.0, QIMING_HW, default=-1.0) == -1.0
+        profiler.load_history(store)
+        assert profiler.predict_output_mb("fp", 1.0, QIMING_HW) == (
+            ExecutionProfiler(store=store).predict_output_mb("fp", 1.0, QIMING_HW)
+        )
+
+    def test_repeated_questions_evaluate_the_model_once(self):
+        profiler = self.replay([exec_record(output_mb=2.0)], min_samples_to_train=100)
+        for _ in range(4):
+            profiler.predict_output_mb("simulate", 10.0, QIMING_HW)
+            profiler.predict_output_mb("simulate", 10.0, TAIYI_HW)
+        assert profiler.output_evaluations == 2
+        # The default applies after the lookup, so it never leaks between calls.
+        assert profiler.predict_output_mb("other", 10.0, QIMING_HW, default=3.0) == 3.0
